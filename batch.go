@@ -80,7 +80,8 @@ type BatchOptions struct {
 	// Workers bounds concurrent units; <= 0 means GOMAXPROCS. This is the
 	// inter-unit bound only: each unit may additionally fan out
 	// Config.AnalysisWorkers goroutines for its own functions and checkers,
-	// so total parallelism is Workers × max(1, AnalysisWorkers). For
+	// so total parallelism is Workers × AnalysisWorkers, where an
+	// AnalysisWorkers of 0 counts as GOMAXPROCS. For
 	// many-unit corpora prefer wide Workers with serial units; reserve
 	// AnalysisWorkers for a few large units.
 	Workers int

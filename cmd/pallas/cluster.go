@@ -37,7 +37,7 @@ func cmdWorker(args []string) error {
 	incrDir := fs.String("incr-dir", "", "persistent function-level memo directory (shared with `check -incr-dir`)")
 	incrBytes := fs.Int64("incr-bytes", 0, "function memo byte budget, memory and disk (0 = default)")
 	workers := fs.Int("workers", 0, "concurrent analyses (0 = GOMAXPROCS)")
-	analysisWorkers := fs.Int("analysis-workers", 0, "goroutines per analysis (<=1 = serial; output is identical at any setting)")
+	analysisWorkers := fs.Int("analysis-workers", 0, "goroutines per analysis (0 = GOMAXPROCS, 1 = serial; output is identical at any setting)")
 	minWorkers := fs.Int("min-workers", 0, "adaptive concurrency floor (0 = 1)")
 	maxQueue := fs.Int("max-queue", 0, "admission queue bound (0 = 256, negative = no queueing)")
 	timeout := fs.Duration("timeout", 0, "per-request deadline (0 = none)")
@@ -152,7 +152,7 @@ func cmdCluster(args []string) error {
 	timeout := fs.Duration("timeout", 0, "per-file analysis deadline on workers (0 = none)")
 	keepGoing := fs.Bool("keep-going", false, "keep analyzing past malformed input, reporting per-file diagnostics")
 	workers := fs.Int("workers", 0, "concurrent analyses inside each worker process (0 = GOMAXPROCS)")
-	analysisWorkers := fs.Int("analysis-workers", 0, "goroutines per file inside each worker (<=1 = serial; output is identical at any setting)")
+	analysisWorkers := fs.Int("analysis-workers", 0, "goroutines per file inside each worker (0 = GOMAXPROCS, 1 = serial; output is identical at any setting)")
 	journalPath := fs.String("journal", "", "checkpoint assignments and completions to this append-only journal (JSONL)")
 	resume := fs.Bool("resume", false, "skip files whose content hash already has a terminal journal entry (requires -journal)")
 	retries := fs.Int("retries", 0, "re-dispatches per unit after transient failures before quarantine (0 = 2)")

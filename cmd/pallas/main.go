@@ -139,7 +139,7 @@ func cmdCheck(args []string) error {
 	timeout := fs.Duration("timeout", 0, "per-file analysis deadline; expiry degrades, not fails (0 = none)")
 	keepGoing := fs.Bool("keep-going", false, "keep analyzing past malformed input, reporting per-file diagnostics")
 	workers := fs.Int("workers", 0, "parallel workers for multiple files (0 = GOMAXPROCS)")
-	analysisWorkers := fs.Int("analysis-workers", 0, "goroutines per file for per-function extraction and checkers (<=1 = serial; output is identical at any setting)")
+	analysisWorkers := fs.Int("analysis-workers", 0, "goroutines per file for per-function extraction and checkers (0 = GOMAXPROCS, 1 = serial; output is identical at any setting)")
 	minWorkers := fs.Int("min-workers", 0, "self-pace: shrink parallelism toward this floor when per-file latency inflates (0 = fixed width)")
 	journalPath := fs.String("journal", "", "checkpoint per-file outcomes to this append-only journal (JSONL)")
 	resume := fs.Bool("resume", false, "skip files whose content hash already has a terminal journal entry (requires -journal)")

@@ -30,7 +30,7 @@ func cmdServe(args []string) error {
 	incrDir := fs.String("incr-dir", "", "persistent function-level memo directory (shared with `check -incr-dir`); re-analyzes only edited functions and their transitive callers")
 	incrBytes := fs.Int64("incr-bytes", 0, "function memo byte budget, memory and disk (0 = default)")
 	workers := fs.Int("workers", 0, "concurrent analyses (0 = GOMAXPROCS); ceiling of the adaptive limit")
-	analysisWorkers := fs.Int("analysis-workers", 0, "goroutines per analysis for per-function extraction and checkers (<=1 = serial; total concurrency is -workers times this)")
+	analysisWorkers := fs.Int("analysis-workers", 0, "goroutines per analysis for per-function extraction and checkers (0 = GOMAXPROCS, 1 = serial; total concurrency is -workers times this)")
 	minWorkers := fs.Int("min-workers", 0, "adaptive concurrency floor under sustained latency inflation (0 = 1; equal to -workers disables adaptation)")
 	maxQueue := fs.Int("max-queue", 0, "admission queue bound; beyond it requests are shed with 503 (0 = 256, negative = no queueing)")
 	rate := fs.Float64("rate", 0, "per-client request rate limit in req/s, keyed by X-Pallas-Client or remote host (0 = unlimited)")

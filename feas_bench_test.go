@@ -3,16 +3,15 @@ package pallas_test
 // TestFeasBenchArtifact and BENCH_feas.json: what the precision tiers buy on
 // the seeded infeasible-path corpus. One row per tier — paths that reached
 // the checkers, paths pruned as infeasible, contradictions proven, warnings
-// reported, and which seeded false positives fired — plus the wall-clock per
-// tier. The rows double as the CI contract: balanced must prune at least one
-// seeded FP (with a nonzero pruned counter) and must check strictly fewer
-// paths than fast.
+// reported, and which seeded false positives fired — plus the wall-clock of
+// each tier's own pass. The rows double as the CI contract: balanced must
+// prune at least one seeded FP (with a nonzero pruned counter) and must
+// check strictly fewer paths than fast.
 
 import (
 	"encoding/json"
 	"os"
 	"testing"
-	"time"
 
 	"pallas/internal/eval"
 )
@@ -38,16 +37,10 @@ func TestFeasBenchArtifact(t *testing.T) {
 	if testing.Short() && out == "" {
 		t.Skip("short mode")
 	}
-	// RunFeas analyzes every case under every tier; time the tiers
-	// separately by rerunning it per tier would triple the work for a
-	// per-tier split nobody consumes, so one elapsed figure covers the run
-	// and is divided evenly across rows for the artifact.
-	start := time.Now()
 	res, err := eval.RunFeas()
 	if err != nil {
 		t.Fatal(err)
 	}
-	elapsed := float64(time.Since(start).Microseconds()) / 1000 / float64(len(res.Tiers))
 
 	bench := feasBench{Cases: res.Cases}
 	var fast, balanced *feasBenchTier
@@ -59,7 +52,7 @@ func TestFeasBenchArtifact(t *testing.T) {
 			Contradictions: row.Contradictions,
 			Warnings:       row.Warnings,
 			FalsePositives: row.FalsePositives,
-			ElapsedMS:      elapsed,
+			ElapsedMS:      float64(row.Elapsed.Microseconds()) / 1000,
 		})
 		switch row.Tier {
 		case "fast":

@@ -36,7 +36,8 @@ type Context struct {
 	Budget *guard.Budget
 	// Workers bounds intra-unit parallelism for Run (mirroring the
 	// extraction fan-out of paths.Config.Workers): how many checkers execute
-	// concurrently over this context. <= 1 runs them serially. The merged
+	// concurrently over this context. 1 runs them serially; <= 0 means
+	// GOMAXPROCS, as in guard.PoolNamed. The merged
 	// report is byte-identical either way.
 	Workers int
 	// Diagnostics accumulates non-fatal problems (unknown spec functions,

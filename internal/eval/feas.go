@@ -8,6 +8,7 @@ package eval
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"pallas/internal/checkers"
 	"pallas/internal/corpus"
@@ -34,6 +35,10 @@ type FeasTierResult struct {
 	// FalsePositives lists the case IDs whose seeded false positive fired
 	// under this tier (the fast tier fires every one by construction).
 	FalsePositives []string
+	// Elapsed is the wall time of this tier's pass over the corpus: parse,
+	// spec, extraction and checking of every case. It varies run to run, so
+	// Render leaves it out.
+	Elapsed time.Duration
 }
 
 // FeasResult is the measured pruning experiment.
@@ -50,6 +55,7 @@ func RunFeas() (*FeasResult, error) {
 	res := &FeasResult{Cases: len(cases)}
 	for _, tier := range []feas.Tier{feas.Fast, feas.Balanced, feas.Strict} {
 		row := FeasTierResult{Tier: tier.String()}
+		start := time.Now()
 		for _, c := range cases {
 			tu, err := cparse.Parse(c.ID, c.Source)
 			if err != nil {
@@ -80,6 +86,7 @@ func RunFeas() (*FeasResult, error) {
 				}
 			}
 		}
+		row.Elapsed = time.Since(start)
 		res.Tiers = append(res.Tiers, row)
 	}
 	return res, nil

@@ -45,7 +45,10 @@ func TestGateAcquireRelease(t *testing.T) {
 // continuously by a watcher goroutine), and Drain always completes with no
 // work left in flight.
 func TestGateContentionWithConcurrentDrain(t *testing.T) {
-	const workers, goroutines, iters = 3, 32, 200
+	// The drain fires once drainAfter admissions have been observed, and
+	// every goroutine churns until it sees a refusal, so both outcomes occur
+	// whatever the scheduling.
+	const workers, goroutines, drainAfter = 3, 32, 256
 	g := NewGate(workers)
 
 	var negative atomic.Bool
@@ -74,18 +77,24 @@ func TestGateContentionWithConcurrentDrain(t *testing.T) {
 	}()
 
 	var admitted, refused atomic.Int64
+	churning := make(chan struct{})
+	admit := func() {
+		if admitted.Add(1) == drainAfter {
+			close(churning)
+		}
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < goroutines; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < iters; i++ {
+			for i := 0; ; i++ {
 				switch {
 				case w%4 == 0:
 					// Exercise the Do path under the same churn.
 					err := g.Do(StageServe, "hammer.c", func() error { return nil })
 					if err == nil {
-						admitted.Add(1)
+						admit()
 					} else if errors.Is(err, ErrGateDraining) {
 						refused.Add(1)
 						return
@@ -94,9 +103,13 @@ func TestGateContentionWithConcurrentDrain(t *testing.T) {
 					// Pre-canceled context: must never leak a slot.
 					ctx, cancel := context.WithCancel(context.Background())
 					cancel()
-					if err := g.Acquire(ctx); err == nil {
+					err := g.Acquire(ctx)
+					if err == nil {
 						g.Release()
-						admitted.Add(1)
+						admit()
+					} else if errors.Is(err, ErrGateDraining) {
+						refused.Add(1)
+						return
 					}
 				default:
 					err := g.Acquire(context.Background())
@@ -107,7 +120,7 @@ func TestGateContentionWithConcurrentDrain(t *testing.T) {
 					if err != nil {
 						continue
 					}
-					admitted.Add(1)
+					admit()
 					g.Release()
 				}
 			}
@@ -116,7 +129,7 @@ func TestGateContentionWithConcurrentDrain(t *testing.T) {
 
 	// Fire the drain mid-churn from its own goroutine (plus a second
 	// concurrent Drain call: it must be idempotent and also complete).
-	time.Sleep(2 * time.Millisecond)
+	<-churning
 	drainErr := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {

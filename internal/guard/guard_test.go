@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -220,6 +222,49 @@ func TestPoolEdgeCases(t *testing.T) {
 	})
 	if len(errs) != 3 || ran != 3 {
 		t.Errorf("ran=%d errs=%d", ran, len(errs))
+	}
+}
+
+// TestPoolWorkerCountDefaults pins the worker-count convention every
+// AnalysisWorkers setting rests on: 0 (and any negative count) means
+// GOMAXPROCS goroutines, 1 means serial. Each item waits until the expected
+// number of items run at once, so too few workers time out and too many
+// show up in the peak.
+func TestPoolWorkerCountDefaults(t *testing.T) {
+	const procs = 3
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	for _, tc := range []struct{ workers, want int }{{0, procs}, {-1, procs}, {1, 1}, {2, 2}} {
+		var running, peak atomic.Int64
+		full := make(chan struct{})
+		var once sync.Once
+		errs := PoolNamed(StageExtract, 4*procs, tc.workers,
+			func(i int) string { return fmt.Sprintf("item %d", i) },
+			func(int) error {
+				n := running.Add(1)
+				defer running.Add(-1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+				if n == int64(tc.want) {
+					once.Do(func() { close(full) })
+				}
+				select {
+				case <-full:
+					return nil
+				case <-time.After(5 * time.Second):
+					err := fmt.Errorf("only %d items ran at once", running.Load())
+					once.Do(func() { close(full) })
+					return err
+				}
+			})
+		for _, err := range errs {
+			if err != nil {
+				t.Fatalf("workers=%d: %v", tc.workers, err)
+			}
+		}
+		if got := peak.Load(); got != int64(tc.want) {
+			t.Errorf("workers=%d with GOMAXPROCS=%d: peak concurrency %d, want %d",
+				tc.workers, procs, got, tc.want)
+		}
 	}
 }
 

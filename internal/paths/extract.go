@@ -32,7 +32,8 @@ type Config struct {
 	Budget *guard.Budget
 	// Workers bounds intra-unit parallelism: how many functions of one
 	// translation unit are extracted concurrently (each function is still
-	// walked by exactly one goroutine). <= 1 extracts serially. Extraction
+	// walked by exactly one goroutine). 1 extracts serially; <= 0 means
+	// GOMAXPROCS, as in guard.PoolNamed. Extraction
 	// output is independent of the setting: the per-function result depends
 	// only on the function and the unit, never on scheduling.
 	Workers int
@@ -153,22 +154,26 @@ func (ex *Extractor) Extract(name string) (*FuncPaths, error) {
 		return nil, err
 	}
 	fp := &FuncPaths{Fn: name, Signature: Signature(g.Fn)}
-	st := &walkState{ex: ex, g: g, fp: fp}
-	env := sym.NewEnv()
+	st := &walkState{
+		ex: ex, g: g, fp: fp, env: sym.NewEnv(), visits: make([]int, len(g.Blocks)),
+		texts: map[cast.Expr]string{}, branches: make([]*Condition, len(g.Blocks)),
+		sites: map[*cast.CallExpr]*callSite{},
+	}
+	st.ev = evaluator{st: st}
 	for _, p := range g.Fn.Params {
 		if p.Name != "" {
-			env.Set(p.Name, sym.NewSym(p.Name))
+			st.env.Set(p.Name, sym.NewSym(p.Name))
 		}
 	}
 	for _, v := range ex.tu.Globals() {
-		env.Set(v.Name, sym.NewSym(v.Name))
+		st.env.Set(v.Name, sym.NewSym(v.Name))
 	}
 	// Feasibility state rides alongside the environment; nil in the Fast
 	// tier, where the walk must stay byte-identical to the pre-layer
 	// behavior. Strict's step budget is per function (walk is one
 	// goroutine), so its pruning decisions are deterministic too.
 	fs := feas.New(ex.cfg.Precision, nil)
-	st.walk(g.Entry, env, fs, &pathBuild{visits: map[int]int{}})
+	st.walk(g.Entry, fs)
 	for i, p := range fp.Paths {
 		p.Index = i
 	}
@@ -196,38 +201,85 @@ func (ex *Extractor) ExtractAll() ([]*FuncPaths, error) {
 	return out, nil
 }
 
-// pathBuild accumulates one path during the DFS.
-type pathBuild struct {
-	blocks []int
-	conds  []Condition
-	states []StateUpdate
-	calls  []CallRecord
-	visits map[int]int
-	tempN  int
-}
-
-func (pb *pathBuild) clone() *pathBuild {
-	c := &pathBuild{
-		blocks: append([]int(nil), pb.blocks...),
-		conds:  append([]Condition(nil), pb.conds...),
-		states: append([]StateUpdate(nil), pb.states...),
-		calls:  append([]CallRecord(nil), pb.calls...),
-		visits: make(map[int]int, len(pb.visits)),
-		tempN:  pb.tempN,
-	}
-	for k, v := range pb.visits {
-		c.visits[k] = v
-	}
-	return c
-}
-
+// walkState is one function's depth-first path walk. The walk backtracks
+// instead of forking: the environment and the path prefix (blocks, conds,
+// states, calls, the temp counter and the per-block visit counts) are one
+// mutable stack, marked before each block and each branch edge and restored
+// to the mark once that subtree is explored. emit copies the prefix, so
+// every ExecPath owns its slices. One goroutine walks one function, which is
+// also what lets sym.Value cache its rendering without locks.
 type walkState struct {
 	ex *Extractor
 	g  *cfg.Graph
 	fp *FuncPaths
+	ev evaluator
+
+	env    *sym.Env
+	blocks []int
+	conds  []Condition
+	states []StateUpdate
+	calls  []CallRecord
+	// visits counts each block's occurrences on the current path, indexed
+	// by block ID (the CFG numbers its blocks densely from 0).
+	visits []int
+	tempN  int
+
+	// The walk passes the same AST nodes on every path through them, so
+	// their path-independent renderings are built once per walk: expression
+	// texts, each branch block's condition record (all but Sym and
+	// Outcome), and each call site.
+	texts    map[cast.Expr]string
+	branches []*Condition
+	sites    map[*cast.CallExpr]*callSite
 }
 
-func (st *walkState) walk(b *cfg.Block, env *sym.Env, fs *feas.State, pb *pathBuild) {
+// text returns cast.ExprString(e), rendered once per walk.
+func (st *walkState) text(e cast.Expr) string {
+	s, ok := st.texts[e]
+	if !ok {
+		s = cast.ExprString(e)
+		st.texts[e] = s
+	}
+	return s
+}
+
+// branch returns the condition record shared by every edge of b's branch.
+func (st *walkState) branch(b *cfg.Block) *Condition {
+	c := st.branches[b.ID]
+	if c == nil {
+		c = &Condition{
+			Expr: st.text(b.Cond), Vars: cast.Idents(b.Cond),
+			Fields: fieldPaths(b.Cond), Line: b.Cond.Pos().Line,
+		}
+		st.branches[b.ID] = c
+	}
+	return c
+}
+
+// walkMark is a point on the walk's stack to backtrack to.
+type walkMark struct {
+	env, blocks, conds, states, calls, tempN int
+}
+
+func (st *walkState) mark() walkMark {
+	return walkMark{
+		env: st.env.Mark(), blocks: len(st.blocks), conds: len(st.conds),
+		states: len(st.states), calls: len(st.calls), tempN: st.tempN,
+	}
+}
+
+func (st *walkState) undo(m walkMark) {
+	st.env.Undo(m.env)
+	st.blocks = st.blocks[:m.blocks]
+	st.conds = st.conds[:m.conds]
+	st.states = st.states[:m.states]
+	st.calls = st.calls[:m.calls]
+	st.tempN = m.tempN
+}
+
+// walk explores every path continuing through b and returns with the walk
+// state exactly as it found it.
+func (st *walkState) walk(b *cfg.Block, fs *feas.State) {
 	if st.fp.Truncated {
 		// Already degraded (budget exhaustion or the path cap); never clear
 		// the flag — a budget-truncated function with room left under
@@ -245,13 +297,21 @@ func (st *walkState) walk(b *cfg.Block, env *sym.Env, fs *feas.State, pb *pathBu
 		st.fp.Truncated = true
 		return
 	}
-	if pb.visits[b.ID] >= st.ex.cfg.MaxBlockVisits {
+	if st.visits[b.ID] >= st.ex.cfg.MaxBlockVisits {
 		return // loop bound reached; abandon this continuation
 	}
-	pb.visits[b.ID]++
-	pb.blocks = append(pb.blocks, b.ID)
+	enter := st.mark()
+	st.visits[b.ID]++
+	st.blocks = append(st.blocks, b.ID)
+	st.block(b, fs)
+	st.visits[b.ID]--
+	st.undo(enter)
+}
 
-	ev := &evaluator{st: st, env: env, pb: pb}
+// block evaluates b's statements on the current path and explores its
+// successors.
+func (st *walkState) block(b *cfg.Block, fs *feas.State) {
+	ev := &st.ev
 	var ret *cast.ReturnStmt
 	for _, s := range b.Stmts {
 		ev.stmt(s)
@@ -261,35 +321,31 @@ func (st *walkState) walk(b *cfg.Block, env *sym.Env, fs *feas.State, pb *pathBu
 	}
 
 	if b == st.g.Exit || ret != nil {
-		st.emit(env, pb, ret)
+		st.emit(ret)
 		return
 	}
 	if len(b.Succs) == 0 {
-		st.emit(env, pb, nil)
+		st.emit(nil)
 		return
 	}
 
 	if b.Cond == nil {
 		// Unconditional: single successor expected.
-		st.walk(b.Succs[0].To, env, fs, pb)
+		st.walk(b.Succs[0].To, fs)
 		return
 	}
 
-	condText := cast.ExprString(b.Cond)
 	symv := ev.eval(b.Cond)
-	vars := cast.Idents(b.Cond)
-	fields := fieldPaths(b.Cond)
-	line := b.Cond.Pos().Line
+	// Every edge records the same condition text and rendering; only the
+	// outcome differs.
+	cond := *st.branch(b)
+	cond.Sym = symv.String()
 
 	// Disequality refutation: a symbolic equality over an excluded value has
 	// a known outcome even though the operand itself is unbound.
-	known, knownVal := refuteByExclusion(env, b.Cond)
+	known, knownVal := refuteByExclusion(st.env, b.Cond)
 
 	for _, e := range b.Succs {
-		outcome := e.Kind.String()
-		if e.Kind == cfg.Case {
-			outcome = "case " + e.Label
-		}
 		// Concrete condition pruning: when the condition folds to a constant,
 		// only the matching boolean edge is feasible.
 		if n, ok := symv.ConcreteInt(); ok && (e.Kind == cfg.True || e.Kind == cfg.False) {
@@ -302,46 +358,53 @@ func (st *walkState) walk(b *cfg.Block, env *sym.Env, fs *feas.State, pb *pathBu
 				continue
 			}
 		}
-		branchEnv := env.Clone()
-		branchFS := fs.Clone()
-		// Branch refinement: boolean edges learn the condition's truth
-		// value, Case edges bind the switch tag to the matched label, and
-		// Default edges learn that the tag matches no label.
-		switch e.Kind {
-		case cfg.True, cfg.False:
-			taken := e.Kind == cfg.True
-			refineEnv(branchEnv, b.Cond, taken)
-			branchFS.Assert(symv, taken)
-		case cfg.Case:
-			refineCaseEnv(branchEnv, b.Cond, e.Label)
-			if n, ok := caseLabelInt(e.Label); ok {
-				branchFS.Assert(sym.NewExpr("==", symv, sym.NewInt(n)), true)
-			}
-		case cfg.Default:
-			refineDefaultEnv(branchEnv, b.Cond, b.Succs)
-			for _, sib := range b.Succs {
-				if sib.Kind != cfg.Case {
-					continue
-				}
-				if n, ok := caseLabelInt(sib.Label); ok {
-					branchFS.Assert(sym.NewExpr("!=", symv, sym.NewInt(n)), true)
-				}
-			}
-		}
-		// Feasibility pruning runs after the concrete and exclusion prunes
-		// above, so it only ever discards continuations the Fast tier would
-		// still have walked; with a nil state (Fast) nothing is ever pruned.
-		if branchFS.Contradiction() {
-			st.fp.Pruned++
-			continue
-		}
-		branchPB := pb.clone()
-		branchPB.conds = append(branchPB.conds, Condition{
-			Expr: condText, Sym: symv.String(), Outcome: outcome,
-			Vars: vars, Fields: fields, Line: line,
-		})
-		st.walk(e.To, branchEnv, branchFS, branchPB)
+		edge := st.mark()
+		st.follow(b, e, symv, cond, fs)
+		st.undo(edge)
 	}
+}
+
+// follow refines the walk state with what edge e of b's branch implies and
+// walks its target. The caller undoes the refinement afterwards.
+func (st *walkState) follow(b *cfg.Block, e cfg.Edge, symv *sym.Value, cond Condition, fs *feas.State) {
+	branchFS := fs.Clone()
+	// Branch refinement: boolean edges learn the condition's truth value,
+	// Case edges bind the switch tag to the matched label, and Default edges
+	// learn that the tag matches no label.
+	switch e.Kind {
+	case cfg.True, cfg.False:
+		taken := e.Kind == cfg.True
+		refineEnv(st.env, b.Cond, taken)
+		branchFS.Assert(symv, taken)
+	case cfg.Case:
+		refineCaseEnv(st.env, b.Cond, e.Label)
+		if n, ok := caseLabelInt(e.Label); ok {
+			branchFS.Assert(sym.NewExpr("==", symv, sym.NewInt(n)), true)
+		}
+	case cfg.Default:
+		refineDefaultEnv(st.env, b.Cond, b.Succs)
+		for _, sib := range b.Succs {
+			if sib.Kind != cfg.Case {
+				continue
+			}
+			if n, ok := caseLabelInt(sib.Label); ok {
+				branchFS.Assert(sym.NewExpr("!=", symv, sym.NewInt(n)), true)
+			}
+		}
+	}
+	// Feasibility pruning runs after the concrete and exclusion prunes, so
+	// it only ever discards continuations the Fast tier would still have
+	// walked; with a nil state (Fast) nothing is ever pruned.
+	if branchFS.Contradiction() {
+		st.fp.Pruned++
+		return
+	}
+	cond.Outcome = e.Kind.String()
+	if e.Kind == cfg.Case {
+		cond.Outcome = "case " + e.Label
+	}
+	st.conds = append(st.conds, cond)
+	st.walk(e.To, branchFS)
 }
 
 // refineEnv narrows the symbolic environment with what a taken branch
@@ -397,7 +460,9 @@ func refineEnv(env *sym.Env, cond cast.Expr, taken bool) {
 	}
 }
 
-func (st *walkState) emit(env *sym.Env, pb *pathBuild, ret *cast.ReturnStmt) {
+// emit records the current path. It copies the walk's stack, which keeps
+// changing after emit returns.
+func (st *walkState) emit(ret *cast.ReturnStmt) {
 	if len(st.fp.Paths) >= st.ex.cfg.MaxPaths {
 		st.fp.Truncated = true
 		return
@@ -405,19 +470,18 @@ func (st *walkState) emit(env *sym.Env, pb *pathBuild, ret *cast.ReturnStmt) {
 	p := &ExecPath{
 		Fn:        st.fp.Fn,
 		Signature: st.fp.Signature,
-		Blocks:    pb.blocks,
-		Conds:     pb.conds,
-		States:    pb.states,
-		Calls:     pb.calls,
+		Blocks:    append([]int(nil), st.blocks...),
+		Conds:     append([]Condition(nil), st.conds...),
+		States:    append([]StateUpdate(nil), st.states...),
+		Calls:     append([]CallRecord(nil), st.calls...),
 	}
 	out := &Output{Void: true}
 	if ret != nil {
 		out.Line = ret.P.Line
 		if ret.X != nil {
-			ev := &evaluator{st: st, env: env, pb: pb}
 			out.Void = false
-			out.Expr = cast.ExprString(ret.X)
-			out.Sym = ev.evalNoEffects(ret.X).String()
+			out.Expr = st.text(ret.X)
+			out.Sym = st.ev.evalNoEffects(ret.X).String()
 		}
 	}
 	p.Out = out
@@ -526,8 +590,9 @@ func refuteByExclusion(env *sym.Env, cond cast.Expr) (known bool, value bool) {
 func markChecked(p *ExecPath) {
 	for i := range p.Calls {
 		c := &p.Calls[i]
+		callText := c.Name + "("
 		for _, cond := range p.Conds {
-			if strings.Contains(cond.Expr, c.Name+"(") {
+			if strings.Contains(cond.Expr, callText) {
 				c.ResultChecked = true
 				break
 			}
@@ -571,10 +636,10 @@ func fieldPaths(e cast.Expr) []string {
 // Symbolic statement/expression evaluation
 // ---------------------------------------------------------------------------
 
+// evaluator evaluates statements and expressions against the walk's current
+// environment and path prefix.
 type evaluator struct {
-	st  *walkState
-	env *sym.Env
-	pb  *pathBuild
+	st *walkState
 	// silent suppresses effect recording (used for return-expression
 	// re-evaluation where effects were already recorded).
 	silent bool
@@ -590,14 +655,14 @@ func (ev *evaluator) stmt(s cast.Stmt) {
 		} else {
 			v = sym.NewSym(x.Name)
 		}
-		ev.env.Set(x.Name, v)
+		ev.st.env.Set(x.Name, v)
 		ev.record(StateUpdate{Target: x.Name, Root: x.Name, Value: v.String(), Kind: Decl, Line: x.P.Line})
 	case *cast.ExprStmt:
-		before := len(ev.pb.calls)
+		before := len(ev.st.calls)
 		ev.eval(x.X)
 		// A call used directly as a statement discards its result.
-		if c, ok := stripCasts(x.X).(*cast.CallExpr); ok && len(ev.pb.calls) > before {
-			last := &ev.pb.calls[len(ev.pb.calls)-1]
+		if c, ok := stripCasts(x.X).(*cast.CallExpr); ok && len(ev.st.calls) > before {
+			last := &ev.st.calls[len(ev.st.calls)-1]
 			if name, ok2 := c.Fun.(*cast.IdentExpr); ok2 && last.Name == name.Name {
 				last.ResultUsed = false
 			}
@@ -617,25 +682,28 @@ func (ev *evaluator) record(u StateUpdate) {
 	if ev.silent {
 		return
 	}
-	ev.pb.states = append(ev.pb.states, u)
+	ev.st.states = append(ev.st.states, u)
 }
 
 func (ev *evaluator) recordCall(c CallRecord) {
 	if ev.silent {
 		return
 	}
-	ev.pb.calls = append(ev.pb.calls, c)
+	ev.st.calls = append(ev.st.calls, c)
 }
 
 func (ev *evaluator) fresh() *sym.Value {
-	ev.pb.tempN++
-	return sym.NewTemp(ev.pb.tempN)
+	ev.st.tempN++
+	return sym.NewTemp(ev.st.tempN)
 }
 
 // evalNoEffects evaluates without recording state updates or calls.
 func (ev *evaluator) evalNoEffects(e cast.Expr) *sym.Value {
-	sub := &evaluator{st: ev.st, env: ev.env, pb: ev.pb, silent: true}
-	return sub.eval(e)
+	silent := ev.silent
+	ev.silent = true
+	v := ev.eval(e)
+	ev.silent = silent
+	return v
 }
 
 func (ev *evaluator) eval(e cast.Expr) *sym.Value {
@@ -643,7 +711,7 @@ func (ev *evaluator) eval(e cast.Expr) *sym.Value {
 	case nil:
 		return sym.NewSym("void")
 	case *cast.IdentExpr:
-		if v := ev.env.Get(x.Name); v != nil {
+		if v := ev.st.env.Get(x.Name); v != nil {
 			return v
 		}
 		if v, ok := ev.st.ex.tu.EnumValue(x.Name); ok {
@@ -696,8 +764,8 @@ func (ev *evaluator) eval(e cast.Expr) *sym.Value {
 	case *cast.CallExpr:
 		return ev.call(x)
 	case *cast.MemberExpr:
-		path := cast.ExprString(x)
-		if v := ev.env.Get(path); v != nil {
+		path := ev.st.text(x)
+		if v := ev.st.env.Get(path); v != nil {
 			return v
 		}
 		base := ev.evalNoEffects(x.X)
@@ -734,17 +802,13 @@ func (ev *evaluator) assign(x *cast.AssignExpr) *sym.Value {
 		op := strings.TrimSuffix(x.Op.String(), "=")
 		rhs = sym.NewExpr(op, cur, rhs)
 	}
-	target := cast.ExprString(x.L)
+	target := ev.st.text(x.L)
 	root := cast.RootIdent(x.L)
 	ev.bindCallResult(x.R, target)
-	ev.env.Set(target, rhs)
+	ev.st.env.Set(target, rhs)
 	// Writing through the whole variable invalidates field bindings.
 	if _, isIdent := x.L.(*cast.IdentExpr); isIdent {
-		for _, n := range ev.env.Names() {
-			if strings.HasPrefix(n, target+"->") || strings.HasPrefix(n, target+".") {
-				ev.env.Delete(n)
-			}
-		}
+		ev.st.env.DeleteFieldsOf(target)
 	}
 	ev.record(StateUpdate{Target: target, Root: root, Value: rhs.String(), Kind: Assign, Line: x.P.Line})
 	return rhs
@@ -764,7 +828,7 @@ func stripCasts(e cast.Expr) cast.Expr {
 // bindCallResult marks the most recent call record as assigned to target when
 // rhs is (after casts) a direct call expression.
 func (ev *evaluator) bindCallResult(rhs cast.Expr, target string) {
-	if ev.silent || len(ev.pb.calls) == 0 {
+	if ev.silent || len(ev.st.calls) == 0 {
 		return
 	}
 	c, ok := stripCasts(rhs).(*cast.CallExpr)
@@ -775,7 +839,7 @@ func (ev *evaluator) bindCallResult(rhs cast.Expr, target string) {
 	if !ok {
 		return
 	}
-	last := &ev.pb.calls[len(ev.pb.calls)-1]
+	last := &ev.st.calls[len(ev.st.calls)-1]
 	if last.Name == name.Name && last.AssignedTo == "" {
 		last.AssignedTo = target
 		last.ResultUsed = true
@@ -791,46 +855,78 @@ func (ev *evaluator) incdec(l cast.Expr, op ctok.Kind, pos ctok.Pos) *sym.Value 
 	} else {
 		next = sym.NewExpr("-", cur, delta)
 	}
-	target := cast.ExprString(l)
-	ev.env.Set(target, next)
+	target := ev.st.text(l)
+	ev.st.env.Set(target, next)
 	ev.record(StateUpdate{Target: target, Root: cast.RootIdent(l), Value: next.String(), Kind: IncDec, Line: pos.Line})
 	return cur
 }
 
 func (ev *evaluator) call(x *cast.CallExpr) *sym.Value {
-	name := ""
-	if id, ok := x.Fun.(*cast.IdentExpr); ok {
-		name = id.Name
-	} else {
-		name = cast.ExprString(x.Fun)
-	}
-	args := make([]string, len(x.Args))
+	site := ev.st.site(x)
 	argVals := make([]*sym.Value, len(x.Args))
 	for i, a := range x.Args {
-		args[i] = cast.ExprString(a)
 		argVals[i] = ev.eval(a)
 	}
-	rec := CallRecord{Name: name, Args: args, Line: x.P.Line, ResultUsed: true}
+	rec := CallRecord{Name: site.name, Args: site.args, Line: x.P.Line, ResultUsed: true}
 
-	// Apply a callee summary when available.
-	var result *sym.Value
-	if !ev.silent && ev.st.ex.cfg.InlineDepth > 0 {
-		if sum := ev.st.ex.summary(name, ev.st.ex.cfg.InlineDepth); sum != nil {
-			rec.Inlined = true
-			ev.applySummary(sum, x, argVals)
+	// Apply a callee summary when available: effects on globals and on
+	// fields reached through pointer arguments are replayed into the
+	// caller's path, tagged with the callee name.
+	if in := site.inlined; in != nil && !ev.silent {
+		rec.Inlined = true
+		for _, eff := range in.effects {
+			ev.st.env.Set(eff.Target, ev.fresh())
+			ev.record(eff)
+		}
+		ev.st.conds = append(ev.st.conds, in.conds...)
+		for _, c := range in.calls {
+			ev.recordCall(c)
 		}
 	}
-	if result == nil {
-		result = sym.NewExpr(name, argVals...)
-	}
 	ev.recordCall(rec)
-	return result
+	return sym.NewExpr(site.name, argVals...)
 }
 
-// applySummary instantiates a callee summary at a call site: effects on
-// global variables and on fields reached through pointer arguments are
-// replayed into the caller's path, tagged with the callee name.
-func (ev *evaluator) applySummary(sum *Summary, call *cast.CallExpr, argVals []*sym.Value) {
+// callSite is the path-independent part of one call expression.
+type callSite struct {
+	name string
+	args []string // rendered arguments, shared by every CallRecord of the site
+	// inlined is the callee summary instantiated at this site; nil when
+	// inlining is off or the callee has no summary.
+	inlined *inlinedCall
+}
+
+// inlinedCall is a callee summary renamed into the caller's terms.
+type inlinedCall struct {
+	effects []StateUpdate
+	conds   []Condition
+	calls   []CallRecord
+}
+
+// site returns x's call site, built on the walk's first visit to x.
+func (st *walkState) site(x *cast.CallExpr) *callSite {
+	if s, ok := st.sites[x]; ok {
+		return s
+	}
+	s := &callSite{args: make([]string, len(x.Args))}
+	if id, ok := x.Fun.(*cast.IdentExpr); ok {
+		s.name = id.Name
+	} else {
+		s.name = st.text(x.Fun)
+	}
+	for i, a := range x.Args {
+		s.args[i] = st.text(a)
+	}
+	if sum := st.ex.summary(s.name, st.ex.cfg.InlineDepth); sum != nil {
+		s.inlined = instantiate(sum, x, s.args)
+	}
+	st.sites[x] = s
+	return s
+}
+
+// instantiate renames a callee summary into the caller's terms at call,
+// whose arguments render as args.
+func instantiate(sum *Summary, call *cast.CallExpr, args []string) *inlinedCall {
 	rename := func(target string) (string, bool) {
 		// Effects on globals keep their name; effects rooted at a parameter
 		// are rewritten in terms of the actual argument expression.
@@ -845,9 +941,8 @@ func (ev *evaluator) applySummary(sum *Summary, call *cast.CallExpr, argVals []*
 		}
 		for pi, pn := range sum.ParamNames {
 			if pn == root {
-				if pi < len(call.Args) {
-					base := cast.ExprString(call.Args[pi])
-					return base + rest, true
+				if pi < len(args) {
+					return args[pi] + rest, true
 				}
 				return "", false
 			}
@@ -857,6 +952,7 @@ func (ev *evaluator) applySummary(sum *Summary, call *cast.CallExpr, argVals []*
 		}
 		return "", false
 	}
+	in := &inlinedCall{}
 	for _, eff := range sum.Effects {
 		t, ok := rename(eff.Target)
 		if !ok {
@@ -869,21 +965,22 @@ func (ev *evaluator) applySummary(sum *Summary, call *cast.CallExpr, argVals []*
 				break
 			}
 		}
-		v := ev.fresh()
-		ev.env.Set(t, v)
-		ev.record(StateUpdate{Target: t, Root: root, Value: eff.Value, Kind: CallEffect, Line: call.P.Line, Callee: sum.Name})
+		in.effects = append(in.effects, StateUpdate{
+			Target: t, Root: root, Value: eff.Value, Kind: CallEffect, Line: call.P.Line, Callee: sum.Name,
+		})
 	}
 	for _, cc := range sum.Conds {
 		t, ok := rename(cc.Target)
 		if !ok {
 			continue
 		}
-		ev.pb.conds = append(ev.pb.conds, Condition{
+		in.conds = append(in.conds, Condition{
 			Expr: cc.Expr, Sym: "(S#" + t + ")", Outcome: "callee",
 			Vars: []string{t}, Line: call.P.Line, FromCallee: sum.Name,
 		})
 	}
 	for _, callee := range sum.Calls {
-		ev.recordCall(CallRecord{Name: callee, Line: call.P.Line, Inlined: true, FromCallee: sum.Name})
+		in.calls = append(in.calls, CallRecord{Name: callee, Line: call.P.Line, Inlined: true, FromCallee: sum.Name})
 	}
+	return in
 }

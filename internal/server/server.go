@@ -116,8 +116,9 @@ type Config struct {
 	// cannot be admitted before it is shed (max_wait_ms overrides).
 	// Analyzer.AnalysisWorkers additionally fans each admitted request out
 	// across that many intra-unit goroutines, so the server's total
-	// analysis concurrency is bounded by Workers × max(1, AnalysisWorkers);
-	// keep the product near GOMAXPROCS. Responses are byte-identical at any
+	// analysis concurrency is bounded by Workers × AnalysisWorkers, where
+	// an AnalysisWorkers of 0 counts as GOMAXPROCS; keep the product near
+	// GOMAXPROCS. Responses are byte-identical at any
 	// worker count, so cache entries stay shared across settings.
 	Analyzer pallas.Config
 	// Workers bounds concurrent analyses (not connections); <= 0 means

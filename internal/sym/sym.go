@@ -7,11 +7,16 @@
 //	E#f(...) symbol representing the result of an expression / call
 //
 // Values are immutable; environments map variable names to values.
+//
+// A Value caches its rendering on first String call. That cache is written
+// without synchronization, so a Value must stay within one goroutine: the
+// path extractor builds and renders every Value inside one function's
+// single-goroutine walk and publishes only the rendered strings.
 package sym
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -42,6 +47,8 @@ type Value struct {
 	// Expr payload: operator or callee name plus operands.
 	Op   string
 	Args []*Value
+	// s caches String; "" until first rendered (no rendering is empty).
+	s string
 }
 
 // NewInt returns a concrete integer value.
@@ -51,7 +58,7 @@ func NewInt(n int64) *Value { return &Value{Kind: Int, N: n} }
 func NewSym(name string) *Value { return &Value{Kind: Sym, Name: name} }
 
 // NewTemp returns the numbered temporary V#n.
-func NewTemp(n int) *Value { return &Value{Kind: Temp, Name: fmt.Sprintf("%d", n)} }
+func NewTemp(n int) *Value { return &Value{Kind: Temp, Name: strconv.Itoa(n)} }
 
 // NewStr returns a string constant value.
 func NewStr(s string) *Value { return &Value{Kind: Str, Name: s} }
@@ -136,32 +143,40 @@ func boolInt(b bool) *Value {
 	return NewInt(0)
 }
 
-// String renders the value in Table-5 notation.
+// String renders the value in Table-5 notation. The rendering is computed
+// once and cached, so a deep expression costs O(1) after its first render.
 func (v *Value) String() string {
 	if v == nil {
 		return "S#unknown"
 	}
+	if v.s == "" {
+		v.s = v.render()
+	}
+	return v.s
+}
+
+func (v *Value) render() string {
 	switch v.Kind {
 	case Int:
-		return fmt.Sprintf("(I#%d)", v.N)
+		return "(I#" + strconv.FormatInt(v.N, 10) + ")"
 	case Sym:
-		return fmt.Sprintf("(S#%s)", v.Name)
+		return "(S#" + v.Name + ")"
 	case Temp:
-		return fmt.Sprintf("(V#%s)", v.Name)
+		return "(V#" + v.Name + ")"
 	case Str:
-		return fmt.Sprintf("(I#%q)", v.Name)
+		return "(I#" + strconv.Quote(v.Name) + ")"
 	case Expr:
+		if isInfix(v.Op) && len(v.Args) == 2 {
+			return "(" + v.Args[0].String() + " " + v.Op + " " + v.Args[1].String() + ")"
+		}
+		if isInfix(v.Op) && len(v.Args) == 1 {
+			return "(" + v.Op + v.Args[0].String() + ")"
+		}
 		parts := make([]string, len(v.Args))
 		for i, a := range v.Args {
 			parts[i] = a.String()
 		}
-		if isInfix(v.Op) && len(parts) == 2 {
-			return "(" + parts[0] + " " + v.Op + " " + parts[1] + ")"
-		}
-		if isInfix(v.Op) && len(parts) == 1 {
-			return "(" + v.Op + parts[0] + ")"
-		}
-		return fmt.Sprintf("(E#%s(%s))", v.Op, strings.Join(parts, ", "))
+		return "(E#" + v.Op + "(" + strings.Join(parts, ", ") + "))"
 	}
 	return "?"
 }
@@ -279,31 +294,55 @@ func (v *Value) Symbols() []string {
 
 // Env is a symbolic environment: variable (or field path) → value, plus the
 // disequalities learned from refuted branches (x != K).
+//
+// Every change is logged on an undo trail, so a depth-first walk can fork
+// without copying: Mark before exploring a branch, Undo back to the mark
+// after it. Disequality sets are copy-on-write, so the set a trail entry
+// saves is never mutated later.
 type Env struct {
-	m  map[string]*Value
-	ne map[string]map[int64]bool
+	m     map[string]*Value
+	ne    map[string]map[int64]bool
+	trail []binding
+}
+
+// binding is one trail entry: everything name was bound to before a change.
+type binding struct {
+	name  string
+	v     *Value
+	bound bool
+	ne    map[int64]bool
 }
 
 // NewEnv returns an empty environment.
 func NewEnv() *Env { return &Env{m: map[string]*Value{}} }
 
-// Clone returns a copy that can be mutated independently.
-func (e *Env) Clone() *Env {
-	c := NewEnv()
-	for k, v := range e.m {
-		c.m[k] = v
-	}
-	if e.ne != nil {
-		c.ne = make(map[string]map[int64]bool, len(e.ne))
-		for k, set := range e.ne {
-			cp := make(map[int64]bool, len(set))
-			for v := range set {
-				cp[v] = true
-			}
-			c.ne[k] = cp
+// Mark returns a point on the undo trail for a later Undo.
+func (e *Env) Mark() int { return len(e.trail) }
+
+// Undo reverts every Set, Delete and Exclude made since mark, restoring the
+// environment exactly as it was when Mark returned it.
+func (e *Env) Undo(mark int) {
+	for i := len(e.trail) - 1; i >= mark; i-- {
+		b := e.trail[i]
+		if b.bound {
+			e.m[b.name] = b.v
+		} else {
+			delete(e.m, b.name)
 		}
+		if b.ne != nil {
+			e.ne[b.name] = b.ne
+		} else if e.ne != nil {
+			delete(e.ne, b.name)
+		}
+		e.trail[i] = binding{}
 	}
-	return c
+	e.trail = e.trail[:mark]
+}
+
+// log saves name's current binding and disequality set on the trail.
+func (e *Env) log(name string) {
+	v, bound := e.m[name]
+	e.trail = append(e.trail, binding{name: name, v: v, bound: bound, ne: e.ne[name]})
 }
 
 // Get returns the binding for name, or nil.
@@ -311,6 +350,7 @@ func (e *Env) Get(name string) *Value { return e.m[name] }
 
 // Set binds name to v; any disequalities for name are superseded.
 func (e *Env) Set(name string, v *Value) {
+	e.log(name)
 	e.m[name] = v
 	if e.ne != nil {
 		delete(e.ne, name)
@@ -319,27 +359,46 @@ func (e *Env) Set(name string, v *Value) {
 
 // Delete removes a binding.
 func (e *Env) Delete(name string) {
+	e.log(name)
 	delete(e.m, name)
 	if e.ne != nil {
 		delete(e.ne, name)
 	}
 }
 
+// DeleteFieldsOf removes every field-path binding rooted at root
+// ("root->f", "root.f.g"): writing the whole variable invalidates them.
+func (e *Env) DeleteFieldsOf(root string) {
+	for n := range e.m {
+		if len(n) > len(root) && n[:len(root)] == root &&
+			(n[len(root)] == '.' || strings.HasPrefix(n[len(root):], "->")) {
+			e.Delete(n)
+		}
+	}
+}
+
 // Exclude records that name is known not to equal val (learned from the
 // refuted edge of an equality branch).
 func (e *Env) Exclude(name string, val int64) {
+	old := e.ne[name]
+	if old[val] {
+		return
+	}
+	e.log(name)
+	set := make(map[int64]bool, len(old)+1)
+	for k := range old {
+		set[k] = true
+	}
+	set[val] = true
 	if e.ne == nil {
 		e.ne = map[string]map[int64]bool{}
 	}
-	if e.ne[name] == nil {
-		e.ne[name] = map[int64]bool{}
-	}
-	e.ne[name][val] = true
+	e.ne[name] = set
 }
 
 // Excluded reports whether name is known to differ from val.
 func (e *Env) Excluded(name string, val int64) bool {
-	return e.ne != nil && e.ne[name] != nil && e.ne[name][val]
+	return e.ne[name][val]
 }
 
 // Names returns the bound names, sorted.

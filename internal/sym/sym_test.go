@@ -1,6 +1,9 @@
 package sym
 
 import (
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -96,24 +99,122 @@ func TestEqual(t *testing.T) {
 	}
 }
 
-func TestEnvCloneIsolation(t *testing.T) {
+// TestEnvMarkUndoNested forks an environment three deep the way the path
+// walk does and checks that each Undo restores its level exactly: bindings,
+// deletions and disequalities made under a mark vanish, and everything made
+// before it survives.
+func TestEnvMarkUndoNested(t *testing.T) {
 	e := NewEnv()
 	e.Set("x", NewInt(1))
-	c := e.Clone()
-	c.Set("x", NewInt(2))
-	c.Set("y", NewInt(3))
-	if n, _ := e.Get("x").ConcreteInt(); n != 1 {
-		t.Error("clone mutated parent")
+	e.Set("p->f", NewSym("f"))
+	e.Exclude("y", 0)
+	want0 := snapshot(e)
+
+	m1 := e.Mark()
+	e.Set("x", NewInt(2))
+	e.Set("z", NewInt(3))
+	e.Delete("p->f")
+	e.Exclude("y", 4)
+	want1 := snapshot(e)
+
+	m2 := e.Mark()
+	e.Set("y", NewInt(9)) // supersedes y's disequalities
+	e.Delete("x")
+	e.Exclude("z", 3)
+	e.Exclude("w", 1)
+	if e.Excluded("y", 0) || e.Get("x") != nil || !e.Excluded("w", 1) {
+		t.Fatalf("level 2 state wrong: %v", snapshot(e))
 	}
-	if e.Get("y") != nil {
-		t.Error("clone leaked into parent")
+
+	want2 := snapshot(e)
+	m3 := e.Mark()
+	e.Undo(m3) // an empty level undoes nothing
+	if got := snapshot(e); got != want2 {
+		t.Fatalf("empty undo changed level 2:\n got %s\nwant %s", got, want2)
 	}
-	if e.Len() != 1 || c.Len() != 2 {
-		t.Errorf("lens = %d, %d", e.Len(), c.Len())
+
+	e.Undo(m2)
+	if got := snapshot(e); got != want1 {
+		t.Fatalf("undo to level 1:\n got %s\nwant %s", got, want1)
 	}
-	c.Delete("y")
-	if c.Get("y") != nil {
-		t.Error("delete failed")
+	e.Undo(m1)
+	if got := snapshot(e); got != want0 {
+		t.Fatalf("undo to level 0:\n got %s\nwant %s", got, want0)
+	}
+	if e.Len() != 2 || e.Mark() != m1 {
+		t.Fatalf("len = %d, trail = %d, want 2 bindings at mark %d", e.Len(), e.Mark(), m1)
+	}
+}
+
+// TestEnvUndoRestoresEachOperation pins Set, Delete, DeleteFieldsOf and
+// Exclude one at a time, over both bound and unbound names.
+func TestEnvUndoRestoresEachOperation(t *testing.T) {
+	ops := map[string]func(*Env){
+		"set-bound":      func(e *Env) { e.Set("x", NewInt(7)) },
+		"set-unbound":    func(e *Env) { e.Set("fresh", NewInt(7)) },
+		"delete-bound":   func(e *Env) { e.Delete("x") },
+		"delete-unbound": func(e *Env) { e.Delete("fresh") },
+		"delete-fields":  func(e *Env) { e.DeleteFieldsOf("p") },
+		"exclude-new":    func(e *Env) { e.Exclude("x", 5) },
+		"exclude-more":   func(e *Env) { e.Exclude("y", 5) },
+		"exclude-again":  func(e *Env) { e.Exclude("y", 0) },
+		"set-excluded":   func(e *Env) { e.Set("y", NewInt(0)) },
+	}
+	for name, op := range ops {
+		e := NewEnv()
+		e.Set("x", NewInt(1))
+		e.Set("p->f", NewInt(2))
+		e.Set("p.g", NewInt(3))
+		e.Set("pq", NewInt(4))
+		e.Exclude("y", 0)
+		before := snapshot(e)
+		m := e.Mark()
+		op(e)
+		e.Undo(m)
+		if got := snapshot(e); got != before {
+			t.Errorf("%s: undo left\n%s\nwant\n%s", name, got, before)
+		}
+	}
+	e := NewEnv()
+	e.Set("p->f", NewInt(2))
+	e.Set("p.g", NewInt(3))
+	e.Set("pq", NewInt(4))
+	e.Set("p", NewInt(5))
+	e.DeleteFieldsOf("p")
+	if got := strings.Join(e.Names(), ","); got != "p,pq" {
+		t.Errorf("DeleteFieldsOf(p) left %s, want p,pq", got)
+	}
+}
+
+// snapshot renders every binding and disequality of e in a canonical order.
+func snapshot(e *Env) string {
+	var sb strings.Builder
+	for _, n := range e.Names() {
+		fmt.Fprintf(&sb, "%s=%s ", n, e.Get(n))
+	}
+	var ne []string
+	for n, set := range e.ne {
+		for v := range set {
+			ne = append(ne, fmt.Sprintf("%s!=%d", n, v))
+		}
+	}
+	sort.Strings(ne)
+	sb.WriteString(strings.Join(ne, " "))
+	return sb.String()
+}
+
+// TestStringCachedMatchesRender checks that the cached rendering of a shared
+// subterm is the same string a fresh, uncached value renders to.
+func TestStringCachedMatchesRender(t *testing.T) {
+	x := NewExpr("+", NewSym("x"), NewTemp(3))
+	call := NewExpr("f", x, NewStr("a\"b"), NewInt(-2))
+	if got, want := call.String(), `(E#f(((S#x) + (V#3)), (I#"a\"b"), (I#-2)))`; got != want {
+		t.Fatalf("render = %s, want %s", got, want)
+	}
+	outer := NewExpr("!", NewExpr("==", x, NewInt(0)))
+	fresh := NewExpr("!", NewExpr("==", NewExpr("+", NewSym("x"), NewTemp(3)), NewInt(0)))
+	if outer.String() != fresh.String() || outer.String() != outer.String() {
+		t.Fatalf("cached %s, fresh %s", outer, fresh)
 	}
 }
 
@@ -220,15 +321,22 @@ func TestEnvExclusions(t *testing.T) {
 	if !e.Excluded("order", 0) || e.Excluded("order", 1) || e.Excluded("other", 0) {
 		t.Fatal("exclusion bookkeeping wrong")
 	}
-	// Clones carry exclusions independently.
-	c := e.Clone()
-	c.Exclude("order", 5)
+	// An exclusion made under one branch must not leak into its sibling,
+	// nor mutate the set the parent already held.
+	m := e.Mark()
+	e.Exclude("order", 5)
+	if !e.Excluded("order", 0) || !e.Excluded("order", 5) {
+		t.Fatal("branch lost or missed an exclusion")
+	}
+	e.Undo(m)
 	if e.Excluded("order", 5) {
-		t.Fatal("clone leaked exclusion into parent")
+		t.Fatal("exclusion leaked out of its branch")
 	}
-	if !c.Excluded("order", 0) {
-		t.Fatal("clone lost parent exclusion")
+	e.Exclude("order", 6) // the sibling branch
+	if e.Excluded("order", 5) || !e.Excluded("order", 0) {
+		t.Fatal("sibling branch saw the wrong exclusions")
 	}
+	e.Undo(m)
 	// A concrete rebinding supersedes exclusions.
 	e.Set("order", NewInt(3))
 	if e.Excluded("order", 0) {

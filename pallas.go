@@ -131,7 +131,8 @@ type Config struct {
 	KeepGoing bool
 	// AnalysisWorkers bounds intra-unit parallelism: per-function path
 	// extraction and the five checkers fan out across this many goroutines
-	// within one AnalyzeSource call. <= 1 analyzes serially (the default).
+	// within one AnalyzeSource call. 1 analyzes serially; 0 (the default)
+	// or a negative value means GOMAXPROCS goroutines.
 	// The output is deterministic regardless of the setting — reports,
 	// warning order, diagnostics, saved path databases, and cache keys are
 	// byte-identical between 1 and N workers — so the field is deliberately
@@ -140,8 +141,9 @@ type Config struct {
 	// AnalysisWorkers composes multiplicatively with outer concurrency:
 	// AnalyzeBatch runs up to BatchOptions.Workers units at once and `pallas
 	// serve` admits up to its -workers requests, each of which may fan out
-	// AnalysisWorkers goroutines, so total CPU demand is bounded by
-	// outer × AnalysisWorkers. Keep the product near GOMAXPROCS.
+	// AnalysisWorkers goroutines (GOMAXPROCS when 0), so total CPU demand is
+	// bounded by outer × that count. Keep the product near GOMAXPROCS: with
+	// wide outer concurrency set AnalysisWorkers to 1.
 	AnalysisWorkers int
 	// Precision selects the path-feasibility tier (internal/feas): "fast"
 	// (or empty — the default) analyzes exactly as before the feasibility
